@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test short race vet ci serve bench bench-compare bench-gate bench-gate-baseline memprofile batch-race fuzz-smoke crash-recovery remote-cache-e2e chaos-soak check
+.PHONY: build test short race vet ci serve loc bench bench-compare bench-gate bench-gate-baseline memprofile batch-race admission-race fuzz-smoke crash-recovery remote-cache-e2e chaos-soak check
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,11 @@ vet:
 # Run the serving daemon (builds the SynthRAG database first, ~a minute).
 serve:
 	$(GO) run ./cmd/chatlsd -addr :8080
+
+# Non-test Go lines, excluding the benchmark harness and its build output.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './perfbench/*' \
+		-not -path './.bench_build/*' -not -path './.git/*' -print0 | xargs -0 cat | wc -l
 
 # Micro-benchmarks: substrate and serving-path cache costs. Override BENCH
 # to regenerate the paper tables instead (e.g. make bench BENCH=Table3).
@@ -82,6 +87,12 @@ batch-race:
 	$(GO) test ./internal/batch -race
 	$(GO) test ./internal/server -race -run 'TestBatchedCustomizeByteIdentical|TestHealthzEchoesBatchConfig'
 
+# Admission-path gate: the overload.Admission hammer (every request the
+# adaptive limit admits must run, at most Workers at once) and the
+# Close-vs-Admit drain race, under -race.
+admission-race:
+	$(GO) test ./internal/overload -race -count=1
+
 ci: build vet race
 
 # Short fuzzing pass over every untrusted-input parser. Each target gets
@@ -127,6 +138,6 @@ chaos-soak:
 	$(GO) run ./cmd/chaos -seed $(CHAOS_SEED)
 
 # Everything CI runs plus the fuzz smoke pass, the crash-recovery gate,
-# the distributed-result-tier gate, the continuous-batching gate, and the
-# chaos soak.
-check: build vet race batch-race fuzz-smoke crash-recovery remote-cache-e2e chaos-soak
+# the distributed-result-tier gate, the continuous-batching gate, the
+# admission gate, and the chaos soak.
+check: build vet race batch-race admission-race fuzz-smoke crash-recovery remote-cache-e2e chaos-soak

@@ -268,7 +268,7 @@ func BenchmarkCustomizeChatLS(b *testing.B) {
 	p := NewChatLS(llm.New(llm.GPT4o, 1), db)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Customize(context.Background(), task, i); err != nil {
+		if _, err := p.CustomizeResult(context.Background(), task, i); err != nil {
 			b.Fatal(err)
 		}
 	}

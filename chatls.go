@@ -91,15 +91,16 @@ func NewTaskWith(ctx context.Context, d *designs.Design, lib *liberty.Library, c
 // Pipeline generates a customized script for a task. Sample indexes the
 // Pass@k attempt. The context bounds the whole generation flow; a cancelled
 // or expired context aborts with a resilience.ErrCancelled/ErrTimeout error.
+//
+// CustomizeResult must not mutate pipeline state: the serving path and
+// parallel Pass@k share one instance across goroutines.
 type Pipeline interface {
 	Name() string
-	Customize(ctx context.Context, t *Task, sample int) (string, error)
+	CustomizeResult(ctx context.Context, t *Task, sample int) (Customization, error)
 }
 
-// Customization is the full result of one pipeline call: the script plus the
-// per-call reporting that used to live as mutable state on the pipeline
-// struct. Returning it makes a pipeline instance safe to share across
-// goroutines (the serving path and parallel Pass@k need exactly that).
+// Customization is the full result of one pipeline call: the script plus
+// the per-call reporting.
 type Customization struct {
 	Script string
 	// Steps are SynthExpert's chain-of-thought steps (nil for pipelines
@@ -109,15 +110,6 @@ type Customization struct {
 	// nil for ChatLSPipeline (empty report = full strength), nil for
 	// pipelines that do not degrade.
 	Degradation *resilience.DegradationReport
-}
-
-// ResultPipeline is a Pipeline whose per-call results are returned rather
-// than stored on the struct. Implementations must be safe for concurrent
-// CustomizeResult calls; the evaluation harness and the server prefer this
-// interface when available.
-type ResultPipeline interface {
-	Pipeline
-	CustomizeResult(ctx context.Context, t *Task, sample int) (Customization, error)
 }
 
 // RawPipeline is the baseline comparison: the generator sees the
@@ -133,12 +125,6 @@ func (p *RawPipeline) Name() string { return p.Model.Profile.Name }
 // CustomizeResult performs one-shot prompting with the raw design text.
 // RawPipeline is stateless, so concurrent calls are safe.
 func (p *RawPipeline) CustomizeResult(ctx context.Context, t *Task, sample int) (Customization, error) {
-	script, err := p.Customize(ctx, t, sample)
-	return Customization{Script: script}, err
-}
-
-// Customize performs one-shot prompting with the raw design text.
-func (p *RawPipeline) Customize(ctx context.Context, t *Task, sample int) (string, error) {
 	var b strings.Builder
 	b.WriteString("## Requirement\n")
 	b.WriteString(t.Requirement)
@@ -150,9 +136,9 @@ func (p *RawPipeline) Customize(ctx context.Context, t *Task, sample int) (strin
 	b.WriteString(t.Design.Source)
 	script, err := p.Model.GenerateContext(ctx, llm.GenRequest{Prompt: b.String(), Sample: sample})
 	if err != nil {
-		return "", resilience.ContextError(resilience.CompGenerate, err)
+		return Customization{}, resilience.ContextError(resilience.CompGenerate, err)
 	}
-	return script, nil
+	return Customization{Script: script}, nil
 }
 
 // ChatLSPipeline is the full framework: CircuitMentor analysis, SynthRAG
@@ -168,12 +154,6 @@ type ChatLSPipeline struct {
 	DisableMentor bool // no design-characteristics analysis
 	DisableRAG    bool // no retrieved strategies
 	DisableExpert bool // no CoT refinement
-	// LastSteps records the CoT steps of the most recent Customize call.
-	//
-	// Deprecated: per-call state on a shared struct is unsafe for concurrent
-	// use; call CustomizeResult and read Customization.Steps instead.
-	// Only Customize updates this field.
-	LastSteps []synthexpert.Step
 	// Retry governs how component failures are retried before the pipeline
 	// degrades. Zero value means no retries (single attempt).
 	Retry resilience.RetryPolicy
@@ -192,13 +172,6 @@ type ChatLSPipeline struct {
 	// plus the mandatory generation that follows (recorded as a
 	// degradation). Nil disables budget awareness.
 	Costs *overload.CostModel
-	// LastReport records which components degraded during the most recent
-	// Customize call; nil before the first call.
-	//
-	// Deprecated: per-call state on a shared struct is unsafe for concurrent
-	// use; call CustomizeResult and read Customization.Degradation instead.
-	// Only Customize updates this field.
-	LastReport *resilience.DegradationReport
 }
 
 // NewChatLS assembles the standard pipeline over a built database.
@@ -270,13 +243,6 @@ func (p *ChatLSPipeline) overBudget(ctx context.Context, lead string, components
 	return overload.CheckBudget(ctx, lead, need)
 }
 
-// Degradation reports which components degraded during the most recent
-// Customize call; nil before the first call, empty report when none did.
-//
-// Deprecated: like LastReport this reads per-call state off the shared
-// struct; use CustomizeResult's Customization.Degradation instead.
-func (p *ChatLSPipeline) Degradation() *resilience.DegradationReport { return p.LastReport }
-
 func hasErrors(issues []synth.Issue) bool {
 	for _, i := range issues {
 		if i.Severity == "error" {
@@ -284,17 +250,6 @@ func hasErrors(issues []synth.Issue) bool {
 		}
 	}
 	return false
-}
-
-// Customize runs the full ChatLS flow of Fig. 2 for one sample. It is a
-// thin wrapper over CustomizeResult that additionally stores the per-call
-// results in the deprecated LastSteps/LastReport fields, so existing call
-// sites keep working. Concurrent callers must use CustomizeResult instead.
-func (p *ChatLSPipeline) Customize(ctx context.Context, t *Task, sample int) (string, error) {
-	res, err := p.CustomizeResult(ctx, t, sample)
-	p.LastSteps = res.Steps
-	p.LastReport = res.Degradation
-	return res.Script, err
 }
 
 // CustomizeResult runs the full ChatLS flow of Fig. 2 for one sample,

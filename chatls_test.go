@@ -119,10 +119,11 @@ func TestChatLSRecordsCoTSteps(t *testing.T) {
 	// most samples because reports are re-checked and reordered.
 	sawStep := false
 	for s := 0; s < 5; s++ {
-		if _, err := p.Customize(context.Background(), task, s); err != nil {
+		res, err := p.CustomizeResult(context.Background(), task, s)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if len(p.LastSteps) > 0 {
+		if len(res.Steps) > 0 {
 			sawStep = true
 		}
 	}
@@ -246,10 +247,11 @@ func TestPipelinePromptsDiffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := NewChatLS(llm.New(llm.GPT4o, 2), db)
-	script, err := p.Customize(context.Background(), task, 0)
+	res, err := p.CustomizeResult(context.Background(), task, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	script := res.Script
 	if script == "" {
 		t.Fatal("empty script")
 	}

@@ -38,15 +38,12 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	seed := flag.Int64("seed", 20250706, "generation seed")
 	epochs := flag.Int("epochs", 40, "metric-learning epochs for the database build")
-	workers := flag.Int("workers", 2, "worker-pool size")
-	queue := flag.Int("queue", 8, "admission-control queue depth")
+	workers := flag.Int("workers", 2, "requests customized concurrently (worker slots)")
+	queue := flag.Int("queue", 8, "admitted requests that may wait for a worker slot; the adaptive concurrency limit starts at workers+queue")
 	reqTimeout := flag.Duration("req-timeout", 60*time.Second, "per-request deadline")
-	inflightFloor := flag.Int("max-inflight-floor", 0, "adaptive concurrency limit floor (0 = default 1)")
-	inflightCeiling := flag.Int("max-inflight-ceiling", 0, "adaptive concurrency limit ceiling (0 = workers+queue)")
 	breakerFailures := flag.Int("breaker-failures", 0, "consecutive failures that trip a stage circuit breaker (0 = default 5)")
 	breakerOpenFor := flag.Duration("breaker-open-for", 0, "circuit-breaker open dwell before half-open probes (0 = default 5s)")
 	breakerProbes := flag.Int("breaker-probes", 0, "concurrent half-open probe budget per breaker (0 = default 1)")
-	brownout := flag.Bool("brownout", true, "degrade (clamp Pass@k to 1) instead of failing under sustained overload")
 	taskCache := flag.Int("task-cache", 16, "baseline-task cache entries")
 	embedCache := flag.Int("embed-cache", 64, "design-embedding cache entries")
 	retrieveCache := flag.Int("retrieve-cache", 256, "strategy-retrieval cache entries")
@@ -124,12 +121,9 @@ func main() {
 		Workers:           *workers,
 		QueueDepth:        *queue,
 		RequestTimeout:    *reqTimeout,
-		InflightFloor:     *inflightFloor,
-		InflightCeiling:   *inflightCeiling,
 		BreakerFailures:   *breakerFailures,
 		BreakerOpenFor:    *breakerOpenFor,
 		BreakerProbes:     *breakerProbes,
-		DisableBrownout:   !*brownout,
 		TaskCacheSize:     *taskCache,
 		EmbedCacheSize:    *embedCache,
 		RetrieveCacheSize: *retrieveCache,
@@ -181,7 +175,7 @@ func main() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*(*reqTimeout))
 		defer cancel()
 		httpSrv.Shutdown(ctx)
-		// Drain the worker pool under the same deadline, then flush and
+		// Drain admitted work under the same deadline, then flush and
 		// close the QoR log so every completed result survives the restart.
 		if err := srv.Shutdown(ctx); err != nil {
 			log.Printf("shutdown: %v (abandoning remaining work)", err)

@@ -56,17 +56,14 @@ func BetterTiming(a, b synth.QoR) bool {
 	return a.Area < b.Area
 }
 
-// degradationReporter is implemented by pipelines that record graceful
-// degradation (ChatLSPipeline); RunPassK copies the report into the sample.
-type degradationReporter interface {
-	Degradation() *resilience.DegradationReport
-}
-
 // EvalOptions tunes how a Pass@k evaluation runs. The zero value is the
 // paper's serial protocol with no checkpoint sharing.
 type EvalOptions struct {
 	// Workers bounds sample-evaluation concurrency; <= 1 is the serial
-	// protocol. See RunPassKParallel for the concurrency contract.
+	// protocol. Samples are seeded by index and folded in index order, so
+	// any worker count yields the same samples, best and counts; only
+	// wall-clock changes. Pipelines must be safe for concurrent
+	// CustomizeResult calls.
 	Workers int
 	// Checkpoints, when non-nil, is a shared elaboration-checkpoint store:
 	// every sample's synthesis run (and the baseline, for entry points that
@@ -109,18 +106,8 @@ func RunPassK(ctx context.Context, p Pipeline, d *designs.Design, k int, lib *li
 	return RunPassKOpts(ctx, p, d, k, lib, EvalOptions{})
 }
 
-// RunPassKParallel is RunPassK with the k samples evaluated on a bounded
-// worker pool. workers <= 1 is the serial protocol and produces
-// byte-identical results to RunPassK; workers > 1 requires a pipeline that
-// is safe for concurrent use (ResultPipeline implementations, or any
-// stateless Pipeline) and yields the same samples, best, and counts — only
-// wall-clock changes, because every sample is seeded by its index.
-func RunPassKParallel(ctx context.Context, p Pipeline, d *designs.Design, k int, lib *liberty.Library, workers int) (EvalResult, error) {
-	return RunPassKOpts(ctx, p, d, k, lib, EvalOptions{Workers: workers})
-}
-
-// RunPassKOpts is RunPassK with explicit options (worker pool, shared
-// checkpoint store).
+// RunPassKOpts is RunPassK with explicit options (sample workers, shared
+// checkpoint store, result store, cost model).
 func RunPassKOpts(ctx context.Context, p Pipeline, d *designs.Design, k int, lib *liberty.Library, opts EvalOptions) (EvalResult, error) {
 	// Budget admission: a nearly-expired context is rejected before the
 	// baseline synthesis starts, so the evaluation does no partial work.
@@ -136,14 +123,9 @@ func RunPassKOpts(ctx context.Context, p Pipeline, d *designs.Design, k int, lib
 	return EvalTaskOpts(ctx, p, task, baseQoR, k, lib, opts)
 }
 
-// EvalTask runs the Pass@k evaluation over an already-constructed task —
+// EvalTaskOpts runs the Pass@k evaluation over an already-constructed task:
 // the entry point for callers that cache baseline synthesis (the serving
-// daemon). See RunPassKParallel for the workers contract.
-func EvalTask(ctx context.Context, p Pipeline, task *Task, baseQoR synth.QoR, k int, lib *liberty.Library, workers int) (EvalResult, error) {
-	return EvalTaskOpts(ctx, p, task, baseQoR, k, lib, EvalOptions{Workers: workers})
-}
-
-// EvalTaskOpts is EvalTask with explicit options.
+// daemon).
 func EvalTaskOpts(ctx context.Context, p Pipeline, task *Task, baseQoR synth.QoR, k int, lib *liberty.Library, opts EvalOptions) (EvalResult, error) {
 	workers := opts.Workers
 	res := EvalResult{
@@ -178,14 +160,9 @@ func EvalTaskOpts(ctx context.Context, p Pipeline, task *Task, baseQoR synth.QoR
 		fatal error
 	}
 	slots := make([]slot, k)
-	pool := workpool.New(workers, k)
-	for s := 0; s < k; s++ {
-		s := s
-		pool.TrySubmit(func() {
-			slots[s].out, slots[s].fatal = evalSample(ctx, p, task, lib, s, opts)
-		})
-	}
-	pool.Close()
+	workpool.Run(workers, k, func(s int) {
+		slots[s].out, slots[s].fatal = evalSample(ctx, p, task, lib, s, opts)
+	})
 
 	// Fold in index order so Best/BestSample match the serial protocol; a
 	// fatal error truncates the result at its sample, as the serial loop
@@ -229,34 +206,15 @@ func evalSample(ctx context.Context, p Pipeline, task *Task, lib *liberty.Librar
 		return nil, err
 	}
 	sampleStart := time.Now()
-	var script string
-	var out SampleOutcome
-	if rp, ok := p.(ResultPipeline); ok {
-		cres, err := rp.CustomizeResult(ctx, task, s)
-		if err != nil {
-			if resilience.IsFatal(err) {
-				return nil, err
-			}
-			return &SampleOutcome{Err: fmt.Sprintf("customize: %v", err)}, nil
+	cres, err := p.CustomizeResult(ctx, task, s)
+	if err != nil {
+		if resilience.IsFatal(err) {
+			return nil, err
 		}
-		script = cres.Script
-		out = SampleOutcome{Script: script, Degraded: cres.Degradation.Components()}
-	} else {
-		var err error
-		script, err = p.Customize(ctx, task, s)
-		if err != nil {
-			if resilience.IsFatal(err) {
-				return nil, err
-			}
-			return &SampleOutcome{Err: fmt.Sprintf("customize: %v", err)}, nil
-		}
-		out = SampleOutcome{Script: script}
-		if dr, ok := p.(degradationReporter); ok {
-			if rep := dr.Degradation(); rep != nil {
-				out.Degraded = rep.Components()
-			}
-		}
+		return &SampleOutcome{Err: fmt.Sprintf("customize: %v", err)}, nil
 	}
+	script := cres.Script
+	out := SampleOutcome{Script: script, Degraded: cres.Degradation.Components()}
 	var key qorlog.Key
 	if opts.Results != nil { // hashing the sources is not free; skip when unused
 		key = ResultKey(task.Lib, task.Design, script)

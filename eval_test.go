@@ -14,8 +14,8 @@ import (
 type brokenPipeline struct{}
 
 func (brokenPipeline) Name() string { return "broken" }
-func (brokenPipeline) Customize(ctx context.Context, t *Task, sample int) (string, error) {
-	return "optimize_timing -aggressive\n", nil
+func (brokenPipeline) CustomizeResult(ctx context.Context, t *Task, sample int) (Customization, error) {
+	return Customization{Script: "optimize_timing -aggressive\n"}, nil
 }
 
 // TestRunPassKFallsBackToBaseline: when every sample fails, the evaluation
@@ -52,7 +52,7 @@ func TestRunPassKParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunPassKParallel(context.Background(), p, d, 5, testLib, 4)
+	par, err := RunPassKOpts(context.Background(), p, d, 5, testLib, EvalOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

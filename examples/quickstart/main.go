@@ -46,10 +46,11 @@ func main() {
 	// 3. Customize with the full pipeline: CircuitMentor analysis ->
 	//    SynthRAG retrieval -> generation -> SynthExpert CoT refinement.
 	pipeline := chatls.NewChatLS(llm.New(llm.GPT4o, 1), db)
-	script, err := pipeline.Customize(ctx, task, 0)
+	cres, err := pipeline.CustomizeResult(ctx, task, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
+	script := cres.Script
 	fmt.Println("\ncustomized script:")
 	fmt.Println(script)
 

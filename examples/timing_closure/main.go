@@ -51,10 +51,11 @@ func main() {
 		}
 		task.Baseline = script
 
-		next, err := pipeline.Customize(ctx, task, 0)
+		cres, err := pipeline.CustomizeResult(ctx, task, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
+		next := cres.Script
 		sess := synth.NewSession(lib)
 		sess.AddSource(design.FileName, design.Source)
 		res, err := sess.Run(next)

@@ -700,7 +700,8 @@ func IterativeClosure(ctx context.Context, cfg ExperimentConfig, db *synthrag.Da
 				task.Requirement = "Timing is met. Recover area while keeping every timing constraint satisfied."
 			}
 			task.Baseline = script
-			next, err := p.Customize(ctx, task, 0)
+			cres, err := p.CustomizeResult(ctx, task, 0)
+			next := cres.Script
 			if err != nil {
 				if isSweepFatal(err) {
 					return rows, err

@@ -2,7 +2,7 @@
 // counters, gauges, and latency histograms collected into a registry with a
 // Prometheus-style text exposition. Like internal/resilience it is a leaf
 // package (stdlib only, imports nothing from the repo), so the server, the
-// caches, and the worker pool can all report into it without import cycles.
+// caches, and the admission path can all report into it without import cycles.
 //
 // All metric types are safe for concurrent use. Func variants
 // (NewCounterFunc, NewGaugeFunc) sample a callback at exposition time, which

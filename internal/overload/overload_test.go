@@ -8,124 +8,101 @@ import (
 )
 
 func TestLimiterStartsAtInitialAndBounds(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Floor: 2, Ceiling: 10})
-	if got := l.Limit(); got != 10 {
-		t.Fatalf("initial limit = %d, want ceiling 10", got)
+	l := newLimiter(10)
+	if int(l.limit) != 10 || l.ceiling != 10 {
+		t.Fatalf("limit/ceiling = %v/%d, want 10/10 (start at the ceiling)", l.limit, l.ceiling)
 	}
-	l = NewLimiter(LimiterConfig{Floor: 2, Ceiling: 10, Initial: 5})
-	if got := l.Limit(); got != 5 {
-		t.Fatalf("initial limit = %d, want 5", got)
+	if l = newLimiter(0); l.ceiling != limiterFloor {
+		t.Fatalf("ceiling below the floor = %d, want %d", l.ceiling, limiterFloor)
 	}
-	if l.Floor() != 2 || l.Ceiling() != 10 {
-		t.Fatalf("bounds = %d/%d, want 2/10", l.Floor(), l.Ceiling())
+	st := NewAdmission(2, 3, time.Second, nil).State()
+	if st.Limit != 5 || st.Ceiling != 5 || st.Floor != 1 {
+		t.Fatalf("admission limit/ceiling/floor = %d/%d/%d, want 5/5/1 (workers+queue, floor 1)",
+			st.Limit, st.Ceiling, st.Floor)
 	}
 }
 
 func TestLimiterAcquireShedsAtLimit(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Floor: 1, Ceiling: 2})
-	if !l.Acquire() || !l.Acquire() {
+	l := newLimiter(2)
+	if !l.acquire() || !l.acquire() {
 		t.Fatal("first two acquires should succeed")
 	}
-	if l.Acquire() {
+	if l.acquire() {
 		t.Fatal("third acquire should shed at limit 2")
 	}
-	if l.Sheds() != 1 {
-		t.Fatalf("sheds = %d, want 1", l.Sheds())
+	l.release(time.Millisecond)
+	if !l.acquire() {
+		t.Fatal("acquire after release should succeed")
 	}
-	l.Cancel()
-	if !l.Acquire() {
-		t.Fatal("acquire after cancel should succeed")
-	}
-	if l.Inflight() != 2 {
-		t.Fatalf("inflight = %d, want 2", l.Inflight())
+	if l.inflight != 2 {
+		t.Fatalf("inflight = %d, want 2", l.inflight)
 	}
 }
 
-// feed simulates completions at the given latency.
-func feed(l *Limiter, n int, d time.Duration) {
+// feed simulates n completions at latency d.
+func feed(l *limiter, n int, d time.Duration) {
 	for i := 0; i < n; i++ {
-		if l.Acquire() {
-			l.Release(d)
-		} else {
-			// keep feeding observations even when the limit is low
-			l.Acquire()
-			l.Release(d)
-		}
+		l.acquire()
+		l.release(d)
 	}
 }
 
 func TestLimiterContractsUnderLatencySpikeAndReexpands(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Floor: 2, Ceiling: 16, Window: 32})
+	l := newLimiter(16)
 
-	// Calm phase: establish a ~10ms baseline.
-	for i := 0; i < 64; i++ {
-		l.Acquire()
-		l.Release(10 * time.Millisecond)
-	}
-	if b := l.Baseline(); b == 0 || b > 15*time.Millisecond {
+	// Calm phase: one full window establishes a ~10ms baseline.
+	feed(&l, limiterWindow, 10*time.Millisecond)
+	if b := l.baseline; b == 0 || b > 15*time.Millisecond {
 		t.Fatalf("baseline = %v, want ~10ms", b)
 	}
-	if l.Limit() != 16 {
-		t.Fatalf("limit after calm phase = %d, want ceiling 16", l.Limit())
+	if int(l.limit) != 16 {
+		t.Fatalf("limit after calm phase = %v, want ceiling 16", l.limit)
 	}
 
 	// Spike: 20x the baseline. Limit must contract toward the floor.
-	for i := 0; i < 200; i++ {
-		l.Acquire()
-		l.Release(200 * time.Millisecond)
-	}
-	contracted := l.Limit()
+	feed(&l, 200, 200*time.Millisecond)
+	contracted := int(l.limit)
 	if contracted >= 16 {
 		t.Fatalf("limit did not contract under spike: %d", contracted)
 	}
-	if contracted < 2 {
+	if contracted < limiterFloor {
 		t.Fatalf("limit fell below floor: %d", contracted)
 	}
 
 	// Spike clears: fast completions re-expand the limit.
-	for i := 0; i < 400; i++ {
-		l.Acquire()
-		l.Release(10 * time.Millisecond)
-	}
-	if got := l.Limit(); got <= contracted {
+	feed(&l, 400, 10*time.Millisecond)
+	if got := int(l.limit); got <= contracted {
 		t.Fatalf("limit did not re-expand after spike: %d (was %d)", got, contracted)
 	}
 }
 
 func TestLimiterBaselineResistsSustainedSpike(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Floor: 1, Ceiling: 8, Window: 16})
-	for i := 0; i < 32; i++ {
-		l.Acquire()
-		l.Release(time.Millisecond)
-	}
-	base := l.Baseline()
-	// A long sustained spike may drift the baseline upward, but only by
-	// BaselineInflate per half-window epoch — after 4 epochs it must
-	// still be far below the spike latency.
-	for i := 0; i < 32; i++ {
-		l.Acquire()
-		l.Release(100 * time.Millisecond)
-	}
-	if got := l.Baseline(); got > 4*base {
+	l := newLimiter(8)
+	feed(&l, limiterWindow, time.Millisecond)
+	base := l.baseline
+	// A sustained spike may drift the baseline upward, but only by
+	// baselineInflate per half-window re-anchor — after a full window of
+	// it (two re-anchors) it must still be far below the spike latency.
+	feed(&l, limiterWindow, 100*time.Millisecond)
+	if got := l.baseline; got > 4*base {
 		t.Fatalf("baseline inflated too fast: %v -> %v", base, got)
 	}
-	if got := l.Limit(); got > 4 {
+	if got := int(l.limit); got > 4 {
 		t.Fatalf("limit = %d, want strong contraction under sustained spike", got)
 	}
 }
 
 func TestLimiterDeterministic(t *testing.T) {
 	run := func() []int {
-		l := NewLimiter(LimiterConfig{Floor: 1, Ceiling: 12, Window: 16})
+		l := newLimiter(12)
 		var limits []int
-		for i := 0; i < 100; i++ {
+		for i := 0; i < 4*limiterWindow; i++ {
 			d := time.Millisecond
 			if i%7 == 0 {
 				d = 50 * time.Millisecond
 			}
-			l.Acquire()
-			l.Release(d)
-			limits = append(limits, l.Limit())
+			feed(&l, 1, d)
+			limits = append(limits, int(l.limit))
 		}
 		return limits
 	}
@@ -151,23 +128,16 @@ func TestCostModelEWMA(t *testing.T) {
 		t.Fatalf("ewma after 100,200 with alpha .5 = %v, want 150ms", got)
 	}
 	m.Observe(StageBaseline, time.Second)
-	if got := m.ExpectSum(StageSample, StageBaseline); got != 1150*time.Millisecond {
-		t.Fatalf("ExpectSum = %v, want 1.15s", got)
-	}
-	snap := m.Snapshot()
-	if len(snap) != 2 || snap[StageBaseline] != time.Second {
-		t.Fatalf("snapshot = %v", snap)
+	if got := m.Expect(StageBaseline); got != time.Second {
+		t.Fatalf("stages must be tracked separately, baseline = %v", got)
 	}
 }
 
 func TestCostModelNilSafe(t *testing.T) {
 	var m *CostModel
 	m.Observe(StageSample, time.Second)
-	if m.Expect(StageSample) != 0 || m.ExpectSum(StageSample) != 0 {
+	if m.Expect(StageSample) != 0 {
 		t.Fatal("nil model must report zero cost")
-	}
-	if m.Snapshot() != nil {
-		t.Fatal("nil model snapshot should be nil")
 	}
 }
 
@@ -197,45 +167,41 @@ func TestCheckBudget(t *testing.T) {
 }
 
 func TestBrownoutHysteresis(t *testing.T) {
-	b := NewBrownout(BrownoutConfig{Window: 8, EnterFrac: 0.5, ExitFrac: 0.25})
+	var b brownout
 	// Sheds before the window fills must not activate.
-	for i := 0; i < 7; i++ {
-		b.Note(true)
+	for i := 0; i < brownoutWindow-1; i++ {
+		b.note(true)
 	}
-	if b.Active() {
+	if b.active {
 		t.Fatal("brownout before a full window of evidence")
 	}
-	b.Note(true)
-	if !b.Active() {
+	b.note(true)
+	if !b.active {
 		t.Fatal("full window of sheds should activate brownout")
 	}
-	if b.Entries() != 1 {
-		t.Fatalf("entries = %d, want 1", b.Entries())
+	if b.entries != 1 {
+		t.Fatalf("entries = %d, want 1", b.entries)
 	}
-	// Recovery: admissions dilute the window toward ExitFrac.
-	for i := 0; i < 5; i++ {
-		b.Note(false)
+	// Recovery: brownout holds until a whole window passes without a shed.
+	for i := 0; i < brownoutWindow-1; i++ {
+		b.note(false)
 	}
-	if !b.Active() {
-		t.Fatal("brownout should persist above exit fraction (hysteresis)")
+	if !b.active {
+		t.Fatal("brownout should persist above the exit fraction (hysteresis)")
 	}
-	b.Note(false)
-	if b.Active() {
-		t.Fatal("brownout should clear once shed fraction <= exit fraction")
+	b.note(false)
+	if b.active {
+		t.Fatal("brownout should clear once the shed fraction reaches the exit fraction")
 	}
-	// Re-entry counts again.
-	for i := 0; i < 8; i++ {
-		b.Note(true)
+	// Re-entry on a full window needs only the enter fraction of sheds.
+	for i := 0; i < brownoutWindow/2-1; i++ {
+		b.note(true)
 	}
-	if !b.Active() || b.Entries() != 2 {
-		t.Fatalf("re-entry: active=%v entries=%d", b.Active(), b.Entries())
+	if b.active {
+		t.Fatal("brownout re-entered below the enter fraction")
 	}
-}
-
-func TestBrownoutNilSafe(t *testing.T) {
-	var b *Brownout
-	b.Note(true)
-	if b.Active() || b.Entries() != 0 {
-		t.Fatal("nil brownout must be inert")
+	b.note(true)
+	if !b.active || b.entries != 2 {
+		t.Fatalf("re-entry: active=%v entries=%d", b.active, b.entries)
 	}
 }

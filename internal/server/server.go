@@ -2,12 +2,12 @@
 // API that customizes synthesis scripts on demand. It layers, on top of the
 // one-shot experiment harness, the machinery a long-lived daemon needs:
 //
-//   - a bounded worker pool with admission control (full queue → 429),
-//   - adaptive overload protection (internal/overload): an AIMD concurrency
-//     limiter in front of the pool, cost-based load shedding when the
-//     learned end-to-end request cost cannot fit the deadline (503 +
-//     Retry-After), and a brownout mode that clamps Pass@k to one sample
-//     under sustained shedding,
+//   - one admission path (overload.Admission): a brownout mode that clamps
+//     Pass@k to one sample under sustained shedding, cost-based load
+//     shedding when the learned end-to-end request cost cannot fit the
+//     deadline (503 + Retry-After), an AIMD concurrency limit (429 + Retry-
+//     After), and a fixed number of worker slots the admitted requests run
+//     in on their own handler goroutines,
 //   - per-stage circuit breakers (internal/resilience) around the pipeline's
 //     auxiliary components, so a persistently failing stage is skipped
 //     immediately instead of burning retries on every request,
@@ -53,7 +53,6 @@ import (
 	"repro/internal/synth"
 	"repro/internal/synthrag"
 	"repro/internal/vecindex"
-	"repro/internal/workpool"
 )
 
 // Config assembles a Server. Zero values get serving defaults (see New).
@@ -65,17 +64,14 @@ type Config struct {
 
 	Designs []*designs.Design // servable designs; nil = full benchmark set
 
-	Workers        int           // worker pool size (default 2)
-	QueueDepth     int           // admission-control queue bound (default 8)
+	// Admission (see overload.Admission): at most Workers requests run at
+	// once and up to QueueDepth more wait for a slot. The adaptive limit on
+	// admitted-but-unfinished requests starts at Workers+QueueDepth and
+	// adapts on observed completion latency down to 1.
+	Workers        int           // concurrent requests (default 2)
+	QueueDepth     int           // admitted requests waiting for a worker (default 8)
 	RequestTimeout time.Duration // per-request deadline (default 60s)
 
-	// Adaptive overload protection (see internal/overload). The limiter
-	// bounds admitted-but-unfinished requests between InflightFloor
-	// (default 1) and InflightCeiling (default Workers+QueueDepth — the
-	// old fixed cap), starting at the ceiling and adapting on observed
-	// completion latency.
-	InflightFloor   int
-	InflightCeiling int
 	// Per-stage circuit-breaker tuning for the pipeline's auxiliary
 	// components (mentor, RAG embed/retrieve, expert): BreakerFailures
 	// consecutive failures trip a stage open (default 5), it dwells open
@@ -84,15 +80,13 @@ type Config struct {
 	BreakerFailures int
 	BreakerOpenFor  time.Duration
 	BreakerProbes   int
-	// DisableBrownout turns off the sustained-pressure degradation mode
-	// (Pass@k clamped to 1 while most recent admissions shed).
-	DisableBrownout bool
 	// Costs, when non-nil, is a shared (possibly pre-seeded) per-stage
 	// cost model; nil gets a fresh one. The chaos harness injects a
 	// primed model to exercise cost-based shedding deterministically.
 	Costs *overload.CostModel
-	// BeforeWork, when set, runs at the start of every pool-executed
-	// customization — the chaos harness injects latency spikes here.
+	// BeforeWork, when set, runs at the start of every admitted
+	// customization, once it holds a worker slot. The chaos harness injects
+	// latency spikes here; tests hold a worker in place with it.
 	BeforeWork func()
 	// PipelineInject, when set, is installed as the fault injector on
 	// every per-request chatls pipeline (tests and the chaos harness).
@@ -166,7 +160,7 @@ type taskEntry struct {
 type Server struct {
 	cfg     Config
 	byName  map[string]*designs.Design
-	pool    *workpool.Pool
+	adm     *overload.Admission
 	flight  *flightGroup
 	tasks   *lru.Cache[string, taskEntry]
 	ckpt    *synth.CheckpointStore // nil when CheckpointCap < 0
@@ -175,13 +169,7 @@ type Server struct {
 	reg     *metrics.Registry
 	closed  atomic.Bool
 
-	limiter  *overload.Limiter
-	brownout *overload.Brownout // nil when DisableBrownout
-	costs    *overload.CostModel
 	breakers map[string]*resilience.Breaker // per-stage, shared across requests
-
-	costSheds atomic.Int64 // requests shed because expected cost exceeds the deadline
-	shedProbe atomic.Int64 // deterministic 1-in-N probe-through counter for cost sheds
 
 	requests     *metrics.Counter
 	rejected     *metrics.Counter
@@ -192,20 +180,7 @@ type Server struct {
 	badJSON      *metrics.Counter
 	invalidReq   *metrics.Counter
 	latency      *metrics.Histogram
-
-	// hookBeforeWork, when set, runs at the start of every pool-executed
-	// customization. Tests use it to hold a worker in place while they
-	// observe admission control, singleflight joins, and shutdown draining.
-	hookBeforeWork func()
 }
-
-var (
-	errOverloaded = errors.New("queue full")
-	// errShed marks a cost-based shed: the learned end-to-end request cost
-	// no longer fits the per-request deadline, so running the work could
-	// only produce a 504 after burning a worker.
-	errShed = errors.New("expected request cost exceeds the deadline")
-)
 
 // New validates the config, applies defaults, enables the database caches,
 // and wires the metrics registry.
@@ -260,17 +235,6 @@ func New(cfg Config) (*Server, error) {
 		cfg.BatchMax = batch.DefaultMaxBatch
 	}
 
-	if cfg.InflightFloor <= 0 {
-		cfg.InflightFloor = 1
-	}
-	if cfg.InflightCeiling <= 0 {
-		// The ceiling defaults to the old fixed admission cap, so a
-		// fresh (uncongested) server admits exactly what it used to.
-		cfg.InflightCeiling = cfg.Workers + cfg.QueueDepth
-	}
-	if cfg.InflightCeiling < cfg.InflightFloor {
-		cfg.InflightCeiling = cfg.InflightFloor
-	}
 	if cfg.BreakerFailures <= 0 {
 		cfg.BreakerFailures = 5
 	}
@@ -295,18 +259,10 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:    cfg,
 		byName: make(map[string]*designs.Design, len(cfg.Designs)),
-		pool:   workpool.New(cfg.Workers, cfg.QueueDepth),
+		adm:    overload.NewAdmission(cfg.Workers, cfg.QueueDepth, cfg.RequestTimeout, cfg.Costs),
 		flight: newFlightGroup(),
 		tasks:  lru.New[string, taskEntry](cfg.TaskCacheSize),
 		reg:    metrics.NewRegistry(),
-		costs:  cfg.Costs,
-		limiter: overload.NewLimiter(overload.LimiterConfig{
-			Floor:   cfg.InflightFloor,
-			Ceiling: cfg.InflightCeiling,
-		}),
-	}
-	if !cfg.DisableBrownout {
-		s.brownout = overload.NewBrownout(overload.BrownoutConfig{})
 	}
 	s.breakers = make(map[string]*resilience.Breaker, 4)
 	for _, comp := range []string{
@@ -402,25 +358,25 @@ func New(cfg Config) (*Server, error) {
 			}
 			return 0
 		})
-	s.reg.NewGaugeFunc("chatlsd_queue_depth", "tasks waiting in the worker-pool queue",
-		func() int64 { return int64(s.pool.Queued()) })
-	s.reg.NewGaugeFunc("chatlsd_workers_busy", "workers currently executing a request",
-		func() int64 { return int64(s.pool.Busy()) })
+	s.reg.NewGaugeFunc("chatlsd_queue_depth", "admitted requests waiting for a worker slot",
+		func() int64 { return int64(s.adm.State().Queued) })
+	s.reg.NewGaugeFunc("chatlsd_workers_busy", "worker slots currently executing a request",
+		func() int64 { return int64(s.adm.State().Busy) })
 	s.reg.NewGaugeFunc("overload_limit", "current adaptive concurrency limit",
-		func() int64 { return int64(s.limiter.Limit()) })
+		func() int64 { return int64(s.adm.State().Limit) })
 	s.reg.NewGaugeFunc("overload_inflight", "requests holding adaptive-limiter slots",
-		func() int64 { return int64(s.limiter.Inflight()) })
+		func() int64 { return int64(s.adm.State().Inflight) })
 	s.reg.NewCounterFunc("overload_shed_total", "requests shed by overload protection (limiter rejects plus cost-based sheds)",
-		func() int64 { return s.limiter.Sheds() + s.costSheds.Load() })
+		func() int64 { return s.adm.State().Sheds })
 	s.reg.NewGaugeFunc("overload_brownout_active", "1 while brownout mode is degrading service (Pass@k clamped to 1)",
 		func() int64 {
-			if s.brownout.Active() {
+			if s.adm.State().Brownout {
 				return 1
 			}
 			return 0
 		})
 	s.reg.NewCounterFunc("overload_brownout_entries_total", "times brownout mode has been entered",
-		s.brownout.Entries)
+		func() int64 { return s.adm.State().BrownoutEntries })
 	for comp, br := range s.breakers {
 		br := br
 		s.reg.NewGaugeFunc("breaker_state_"+metricName(comp),
@@ -496,14 +452,14 @@ func New(cfg Config) (*Server, error) {
 // deadline, and flushes and closes the QoR log. Idempotent.
 func (s *Server) Close() {
 	if s.closed.CompareAndSwap(false, true) {
-		s.pool.Close()
+		s.adm.Close()
 		s.tier.Close()
 		s.results.Close()
 	}
 }
 
 // Shutdown is the graceful-stop path: it stops admitting requests, drains
-// the worker pool until ctx expires, then flushes and closes the QoR log so
+// admitted work until ctx expires, then flushes and closes the QoR log so
 // every completed result is durable for the next warm restart. A deadline
 // overrun returns ctx.Err() — the log still closes (appends after close
 // land only in memory), but workers past the deadline are abandoned to the
@@ -514,7 +470,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	drained := make(chan struct{})
 	go func() {
-		s.pool.Close()
+		s.adm.Close()
 		close(drained)
 	}()
 	var err error
@@ -626,7 +582,7 @@ func (s *Server) writeError(w http.ResponseWriter, code int, msg string) {
 // retryAfterSeconds rounds the expected request cost up to whole seconds:
 // retrying sooner than one service time cannot help.
 func (s *Server) retryAfterSeconds() int {
-	d := s.costs.Expect(overload.StageRequest)
+	d := s.cfg.Costs.Expect(overload.StageRequest)
 	secs := int((d + time.Second - 1) / time.Second)
 	if secs < 1 {
 		secs = 1
@@ -707,67 +663,36 @@ func (s *Server) handleCustomize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Brownout: under sustained shedding the server serves a weaker answer
-	// rather than more errors — Pass@k clamps to one sample. Clamping
-	// before the singleflight key is computed lets browned-out requests
-	// coalesce with each other.
-	brownedOut := false
-	if req.K > 1 && s.brownout.Active() {
-		req.K = 1
-		brownedOut = true
-	}
+	// Brownout clamps k before the singleflight key is computed, so
+	// browned-out requests coalesce with each other.
+	var brownedOut bool
+	req.K, brownedOut = s.adm.Clamp(req.K)
 
 	// Identical concurrent requests share one execution (and one worker
 	// slot); the key is every input that shapes the result.
 	key := fmt.Sprintf("%s\x00%s\x00%s\x00%d", req.Design, req.Requirement, req.Pipeline, req.K)
 	v, _, err := s.flight.Do(key, func() (any, error) {
-		// Cost-based shed: when the learned end-to-end cost cannot fit the
-		// per-request deadline, admitting the work could only produce a 504
-		// after burning a worker — reject now. Every 8th would-be shed is
-		// deterministically admitted anyway so the cost model keeps
-		// re-learning and a recovered backend un-sheds itself.
-		if s.costs.Expect(overload.StageRequest) > s.cfg.RequestTimeout {
-			if s.shedProbe.Add(1)%8 != 0 {
-				s.costSheds.Add(1)
-				return nil, errShed
-			}
-		}
-		// Adaptive admission: the limiter bounds admitted-but-unfinished
-		// requests, contracting under latency congestion and re-expanding
-		// when completions come back on time.
-		if !s.limiter.Acquire() {
-			return nil, errOverloaded
-		}
 		start := time.Now()
-		var out *customizeResponse
-		var werr error
-		done := make(chan struct{})
-		if !s.pool.TrySubmit(func() {
-			defer close(done)
-			out, werr = s.runCustomize(d, req)
-		}) {
-			// The pool is the hard backstop behind the adaptive limiter
-			// (reachable only when the ceiling is configured above
-			// workers+queue). The slot never ran: no latency observation.
-			s.limiter.Cancel()
-			return nil, errOverloaded
+		tk, err := s.adm.Admit()
+		if err != nil {
+			return nil, err
 		}
-		<-done
-		// Queue wait plus service time is the congestion signal AIMD needs.
-		s.limiter.Release(time.Since(start))
-		return out, werr
+		// Slot wait plus service time is the congestion signal AIMD needs.
+		defer func() { tk.Done(time.Since(start)) }()
+		return s.runCustomize(d, req)
 	})
-	shed := err != nil && (errors.Is(err, errOverloaded) || errors.Is(err, errShed))
-	s.brownout.Note(shed)
+	s.adm.Note(err)
 	if err != nil {
 		switch {
-		case errors.Is(err, errOverloaded):
+		case errors.Is(err, overload.ErrLimit):
 			s.rejected.Inc()
 			s.writeError(w, http.StatusTooManyRequests, "server overloaded, retry later")
-		case errors.Is(err, errShed):
+		case errors.Is(err, overload.ErrCost):
 			s.rejected.Inc()
 			s.writeError(w, http.StatusServiceUnavailable,
 				"server overloaded: expected request cost exceeds the deadline, retry later")
+		case errors.Is(err, overload.ErrClosed):
+			s.writeError(w, http.StatusServiceUnavailable, "server shutting down")
 		case errors.Is(err, overload.ErrBudget):
 			// The request was rejected inside the pipeline before any
 			// synthesis started; no partial work was done.
@@ -791,15 +716,12 @@ func (s *Server) handleCustomize(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// runCustomize executes one deduplicated customization on a pool worker.
+// runCustomize executes one deduplicated, admitted customization.
 // The deadline derives from context.Background(), not the client's request
 // context, so a client disconnect does not abort work a coalesced follower
 // may still be waiting on — and so graceful shutdown drains rather than
 // cancels.
 func (s *Server) runCustomize(d *designs.Design, req customizeRequest) (resp *customizeResponse, err error) {
-	if h := s.hookBeforeWork; h != nil {
-		h()
-	}
 	if h := s.cfg.BeforeWork; h != nil {
 		h()
 	}
@@ -811,7 +733,7 @@ func (s *Server) runCustomize(d *designs.Design, req customizeRequest) (resp *cu
 		// model (a timeout is exactly the cost signal shedding needs);
 		// other failures say nothing about cost.
 		if err == nil || errors.Is(err, resilience.ErrTimeout) {
-			s.costs.Observe(overload.StageRequest, elapsed)
+			s.cfg.Costs.Observe(overload.StageRequest, elapsed)
 		}
 	}()
 
@@ -828,7 +750,7 @@ func (s *Server) runCustomize(d *designs.Design, req customizeRequest) (resp *cu
 	t.Requirement = req.Requirement
 
 	res, err := chatls.EvalTaskOpts(ctx, s.newPipeline(req.Pipeline), &t, baseQoR, req.K, s.cfg.Lib,
-		chatls.EvalOptions{Workers: 1, Checkpoints: s.ckpt, Results: s.resultStore(), Costs: s.costs})
+		chatls.EvalOptions{Workers: 1, Checkpoints: s.ckpt, Results: s.resultStore(), Costs: s.cfg.Costs})
 	if err != nil {
 		s.countErr(err)
 		return nil, err
@@ -892,7 +814,7 @@ func (s *Server) newPipeline(name string) chatls.Pipeline {
 		// stage health and learned costs persist beyond one pipeline
 		// instance; the injector is the chaos/test fault layer.
 		p.Breakers = s.breakers
-		p.Costs = s.costs
+		p.Costs = s.cfg.Costs
 		p.Inject = s.cfg.PipelineInject
 		return p
 	}
@@ -979,6 +901,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		breakers[resilience.CompRemoteCache] = rc.BreakerState().String()
 	}
 	limits := inputlimits.Defaults()
+	adm := s.adm.State()
 	writeJSON(w, http.StatusOK, healthzResponse{
 		Status:            "ok",
 		MaxBodyBytes:      s.cfg.MaxBodyBytes,
@@ -996,14 +919,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			inputlimits.SurfaceCypher:  toBudgetJSON(limits.Cypher),
 		},
 		Overload: overloadJSON{
-			Limit:         s.limiter.Limit(),
-			Floor:         s.limiter.Floor(),
-			Ceiling:       s.limiter.Ceiling(),
-			Inflight:      s.limiter.Inflight(),
-			ShedTotal:     s.limiter.Sheds() + s.costSheds.Load(),
-			Brownout:      s.brownout.Active(),
+			Limit:         adm.Limit,
+			Floor:         adm.Floor,
+			Ceiling:       adm.Ceiling,
+			Inflight:      adm.Inflight,
+			ShedTotal:     adm.Sheds,
+			Brownout:      adm.Brownout,
 			Breakers:      breakers,
-			RequestCostNS: s.costs.Expect(overload.StageRequest).Nanoseconds(),
+			RequestCostNS: s.cfg.Costs.Expect(overload.StageRequest).Nanoseconds(),
 		},
 	})
 }

@@ -39,6 +39,19 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	return s
 }
 
+// holdWorker returns a BeforeWork hook that parks every admitted request
+// in its worker slot until release is closed, and a channel closed when the
+// first one arrives there.
+func holdWorker() (hook func(), started, release chan struct{}) {
+	started = make(chan struct{})
+	release = make(chan struct{})
+	var once sync.Once
+	return func() {
+		once.Do(func() { close(started) })
+		<-release
+	}, started, release
+}
+
 func postCustomize(t *testing.T, url string, body string) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := http.Post(url+"/v1/customize", "application/json", strings.NewReader(body))
@@ -179,14 +192,8 @@ func TestTaskCacheHit(t *testing.T) {
 // (observable in the shared counter before the leader finishes), and that
 // both callers get the same response.
 func TestSingleflight(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	s.hookBeforeWork = func() {
-		once.Do(func() { close(started) })
-		<-release
-	}
+	hold, started, release := holdWorker()
+	s := newTestServer(t, Config{Workers: 2, QueueDepth: 8, BeforeWork: hold})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -229,17 +236,11 @@ func TestSingleflight(t *testing.T) {
 	}
 }
 
-// TestAdmissionControl saturates a 1-worker/1-slot pool with distinct
-// requests and checks the third is rejected with 429.
+// TestAdmissionControl saturates one worker slot and one queue place with
+// distinct requests and checks the third is rejected with 429.
 func TestAdmissionControl(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	s.hookBeforeWork = func() {
-		once.Do(func() { close(started) })
-		<-release
-	}
+	hold, started, release := holdWorker()
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1, BeforeWork: hold})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -252,7 +253,7 @@ func TestAdmissionControl(t *testing.T) {
 	<-started // worker occupied
 	go post("dynamic_node")
 	deadline := time.After(5 * time.Second)
-	for s.pool.Queued() != 1 { // second request parked in the queue slot
+	for metricValue(t, ts.URL, "chatlsd_queue_depth") != 1 { // second request waits for the worker
 		select {
 		case <-deadline:
 			t.Fatal("second request never queued")
@@ -281,14 +282,8 @@ func TestAdmissionControl(t *testing.T) {
 // not return until in-flight work finishes — and that the drained request
 // still gets its full response.
 func TestShutdownDrains(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	s.hookBeforeWork = func() {
-		once.Do(func() { close(started) })
-		<-release
-	}
+	hold, started, release := holdWorker()
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 4, BeforeWork: hold})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -151,7 +151,6 @@ func TestSearchEdgeCases(t *testing.T) {
 	const dim = 4
 	builders := map[string]func() Index{
 		"flat": func() Index { return NewFlat(dim, Cosine) },
-		"ivf":  func() Index { return NewIVF(dim, 2, Cosine, 1) },
 		"hnsw": func() Index { return NewHNSW(dim, Cosine, HNSWConfig{Seed: 1}) },
 		"auto": func() Index { return NewAuto(dim, Cosine, 3, HNSWConfig{Seed: 1}) },
 	}

@@ -1,13 +1,12 @@
 // Package vecindex provides vector similarity search for SynthRAG's
 // embedding-based retrieval (paper Eq. 4), standing in for FAISS: an exact
-// flat index and a k-means IVF index with probe control, over cosine or
-// Euclidean metrics.
+// flat index, an HNSW graph index, and an Auto index that stays flat (exact)
+// for small corpora and migrates to HNSW past a size threshold, over cosine
+// or Euclidean metrics.
 package vecindex
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 	"sort"
 
 	"repro/internal/tensor"
@@ -114,141 +113,4 @@ func sortHits(hits []Hit) {
 		}
 		return hits[i].ID < hits[j].ID
 	})
-}
-
-// IVF is an inverted-file index: vectors are assigned to k-means centroids
-// and queries probe only the closest NProbe lists.
-type IVF struct {
-	Metric    Metric
-	NProbe    int
-	dim       int
-	nlist     int
-	seed      int64
-	centroids [][]float64
-	lists     [][]int // centroid -> vector indexes
-	ids       []string
-	vecs      [][]float64
-	trained   bool
-}
-
-// NewIVF creates an IVF index with nlist clusters.
-func NewIVF(dim, nlist int, metric Metric, seed int64) *IVF {
-	if nlist < 1 {
-		nlist = 1
-	}
-	return &IVF{Metric: metric, NProbe: 2, dim: dim, nlist: nlist, seed: seed}
-}
-
-// Add inserts a vector (train/retrain happens lazily on Search).
-func (ix *IVF) Add(id string, vec []float64) error {
-	if len(vec) != ix.dim {
-		return fmt.Errorf("vector %q has dim %d, index wants %d", id, len(vec), ix.dim)
-	}
-	ix.ids = append(ix.ids, id)
-	ix.vecs = append(ix.vecs, append([]float64(nil), vec...))
-	ix.trained = false
-	return nil
-}
-
-// Len returns the number of stored vectors.
-func (ix *IVF) Len() int { return len(ix.ids) }
-
-// Train runs k-means over the stored vectors.
-func (ix *IVF) Train() {
-	n := len(ix.vecs)
-	k := ix.nlist
-	if k > n {
-		k = n
-	}
-	if k == 0 {
-		ix.trained = true
-		return
-	}
-	rng := rand.New(rand.NewSource(ix.seed))
-	// k-means++ style seeding: random distinct points.
-	perm := rng.Perm(n)
-	ix.centroids = make([][]float64, k)
-	for i := 0; i < k; i++ {
-		ix.centroids[i] = append([]float64(nil), ix.vecs[perm[i]]...)
-	}
-	assign := make([]int, n)
-	for iter := 0; iter < 20; iter++ {
-		changed := false
-		for i, v := range ix.vecs {
-			best, bestD := 0, math.Inf(1)
-			for c, cent := range ix.centroids {
-				d := tensor.L2Dist(v, cent)
-				if d < bestD {
-					best, bestD = c, d
-				}
-			}
-			if assign[i] != best {
-				assign[i] = best
-				changed = true
-			}
-		}
-		// Recompute centroids.
-		counts := make([]int, k)
-		sums := make([][]float64, k)
-		for c := range sums {
-			sums[c] = make([]float64, ix.dim)
-		}
-		for i, v := range ix.vecs {
-			counts[assign[i]]++
-			tensor.Axpy(sums[assign[i]], 1, v)
-		}
-		for c := range ix.centroids {
-			if counts[c] > 0 {
-				tensor.Scale(sums[c], 1/float64(counts[c]))
-				ix.centroids[c] = sums[c]
-			}
-		}
-		if !changed && iter > 0 {
-			break
-		}
-	}
-	ix.lists = make([][]int, k)
-	for i := range ix.vecs {
-		ix.lists[assign[i]] = append(ix.lists[assign[i]], i)
-	}
-	ix.trained = true
-}
-
-// Search probes the NProbe closest centroid lists. k <= 0, an empty index,
-// or a query of the wrong dimension returns nil; k > Len returns every
-// vector in the probed lists.
-func (ix *IVF) Search(query []float64, k int) []Hit {
-	if k <= 0 || len(query) != ix.dim {
-		return nil
-	}
-	if !ix.trained {
-		ix.Train()
-	}
-	if len(ix.centroids) == 0 {
-		return nil
-	}
-	type cd struct {
-		c int
-		d float64
-	}
-	order := make([]cd, len(ix.centroids))
-	for c, cent := range ix.centroids {
-		order[c] = cd{c, tensor.L2Dist(query, cent)}
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i].d < order[j].d })
-	probes := ix.NProbe
-	if probes > len(order) {
-		probes = len(order)
-	}
-	var hits []Hit
-	for p := 0; p < probes; p++ {
-		for _, vi := range ix.lists[order[p].c] {
-			hits = append(hits, Hit{ID: ix.ids[vi], Score: score(ix.Metric, query, ix.vecs[vi])})
-		}
-	}
-	sortHits(hits)
-	if k < len(hits) {
-		hits = hits[:k]
-	}
-	return hits
 }

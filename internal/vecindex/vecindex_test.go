@@ -58,84 +58,6 @@ func TestFlatDeterministicTieBreak(t *testing.T) {
 	}
 }
 
-func clusteredData(rng *rand.Rand, perCluster int) (ids []string, vecs [][]float64, labels []int) {
-	centers := [][]float64{{5, 0, 0, 0}, {0, 5, 0, 0}, {0, 0, 5, 0}, {0, 0, 0, 5}}
-	for c, center := range centers {
-		for i := 0; i < perCluster; i++ {
-			v := make([]float64, 4)
-			for j := range v {
-				v[j] = center[j] + rng.NormFloat64()*0.4
-			}
-			ids = append(ids, fmt.Sprintf("c%d_%d", c, i))
-			vecs = append(vecs, v)
-			labels = append(labels, c)
-		}
-	}
-	return
-}
-
-func TestIVFMatchesFlatOnClusters(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	ids, vecs, labels := clusteredData(rng, 25)
-	flat := NewFlat(4, L2)
-	ivf := NewIVF(4, 4, L2, 42)
-	for i := range ids {
-		flat.Add(ids[i], vecs[i])
-		ivf.Add(ids[i], vecs[i])
-	}
-	// Query near each cluster center: IVF top-5 should match flat top-5.
-	agree := 0
-	total := 0
-	for c := 0; c < 4; c++ {
-		q := make([]float64, 4)
-		q[c] = 5
-		fh := flat.Search(q, 5)
-		ih := ivf.Search(q, 5)
-		if len(ih) != 5 {
-			t.Fatalf("IVF returned %d hits", len(ih))
-		}
-		fset := map[string]bool{}
-		for _, h := range fh {
-			fset[h.ID] = true
-		}
-		for _, h := range ih {
-			total++
-			if fset[h.ID] {
-				agree++
-			}
-		}
-		// All IVF hits must be from the right cluster.
-		for _, h := range ih {
-			var idx int
-			fmt.Sscanf(h.ID, "c%d_", &idx)
-			if labels[0] >= 0 && idx != c {
-				t.Errorf("query %d returned %s from wrong cluster", c, h.ID)
-			}
-		}
-	}
-	if agree < total*8/10 {
-		t.Errorf("IVF agreement with flat too low: %d/%d", agree, total)
-	}
-}
-
-func TestIVFRetrainAfterAdd(t *testing.T) {
-	ivf := NewIVF(2, 2, L2, 1)
-	ivf.Add("a", []float64{0, 0})
-	_ = ivf.Search([]float64{0, 0}, 1) // forces train
-	ivf.Add("b", []float64{9, 9})
-	hits := ivf.Search([]float64{9, 9}, 1)
-	if len(hits) != 1 || hits[0].ID != "b" {
-		t.Errorf("post-add search = %v, want b", hits)
-	}
-}
-
-func TestIVFEmpty(t *testing.T) {
-	ivf := NewIVF(2, 4, Cosine, 3)
-	if hits := ivf.Search([]float64{1, 0}, 3); len(hits) != 0 {
-		t.Errorf("empty index returned %v", hits)
-	}
-}
-
 // Property: flat search always returns results sorted by descending score
 // and the top-1 is the true argmax.
 func TestFlatTopOneProperty(t *testing.T) {

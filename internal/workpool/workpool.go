@@ -1,16 +1,6 @@
-// Package workpool is the bounded worker pool the serving layer runs
-// customization requests on, and the primitive the evaluation harness
-// reuses to parallelize Pass@k samples. It provides the two properties a
-// serving path needs that a bare goroutine-per-request model lacks:
-//
-//   - a hard concurrency bound (workers), so heavy traffic cannot oversubscribe
-//     the CPU-bound synthesis pipeline; and
-//   - a bounded queue with non-blocking admission (TrySubmit), so load beyond
-//     the queue depth is rejected up front (HTTP 429) instead of piling up
-//     unbounded.
-//
-// Close drains: it stops admissions, lets queued and running tasks finish,
-// and then returns — which is what makes graceful daemon shutdown possible.
+// Package workpool is the static parallel-for the batch loops share: the
+// database build fan-out, row-sharded kernels, experiment sweeps and the
+// Pass@k sample fan-out.
 package workpool
 
 import (
@@ -18,85 +8,11 @@ import (
 	"sync/atomic"
 )
 
-// Pool is a fixed-size worker pool over a bounded task queue. All methods
-// are safe for concurrent use.
-type Pool struct {
-	mu      sync.Mutex
-	closed  bool
-	tasks   chan func()
-	workers sync.WaitGroup
-	busy    atomic.Int64
-}
-
-// New starts a pool with the given worker count and queue depth (both
-// clamped to at least 1).
-func New(workers, queueDepth int) *Pool {
-	if workers < 1 {
-		workers = 1
-	}
-	if queueDepth < 1 {
-		queueDepth = 1
-	}
-	p := &Pool{tasks: make(chan func(), queueDepth)}
-	p.workers.Add(workers)
-	for i := 0; i < workers; i++ {
-		go p.run()
-	}
-	return p
-}
-
-func (p *Pool) run() {
-	defer p.workers.Done()
-	for fn := range p.tasks {
-		p.busy.Add(1)
-		fn()
-		p.busy.Add(-1)
-	}
-}
-
-// TrySubmit enqueues fn when the queue has room, reporting false when the
-// pool is saturated (admission control) or closed.
-func (p *Pool) TrySubmit(fn func()) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return false
-	}
-	select {
-	case p.tasks <- fn:
-		return true
-	default:
-		return false
-	}
-}
-
-// Queued returns the number of tasks waiting for a worker.
-func (p *Pool) Queued() int { return len(p.tasks) }
-
-// Busy returns the number of workers currently running a task.
-func (p *Pool) Busy() int { return int(p.busy.Load()) }
-
-// InFlight returns the tasks admitted but not yet finished (queued plus
-// running) — the quantity an adaptive admission limiter bounds.
-func (p *Pool) InFlight() int { return len(p.tasks) + int(p.busy.Load()) }
-
-// Close stops admitting tasks, drains the queue, and waits for every
-// running task to finish. Safe to call more than once.
-func (p *Pool) Close() {
-	p.mu.Lock()
-	if !p.closed {
-		p.closed = true
-		close(p.tasks)
-	}
-	p.mu.Unlock()
-	p.workers.Wait()
-}
-
 // Run executes fn(0..n-1) on up to workers goroutines and waits for all of
 // them — a static parallel-for for the embarrassingly-parallel batch loops
-// (database build fan-out, row-sharded kernels). Unlike Pool it has no queue
-// to saturate: indices are handed out atomically until exhausted. workers<=1
-// or n<=1 runs inline, so serial callers pay nothing.
+// (database build fan-out, row-sharded kernels). Indices are handed out
+// atomically until exhausted. workers<=1 or n<=1 runs inline, so serial
+// callers pay nothing.
 func Run(workers, n int, fn func(i int)) {
 	if n <= 0 {
 		return

@@ -3,88 +3,19 @@ package workpool
 import (
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
-func TestRunsSubmittedTasks(t *testing.T) {
-	p := New(4, 16)
-	var n atomic.Int64
-	for i := 0; i < 16; i++ {
-		if !p.TrySubmit(func() { n.Add(1) }) {
-			t.Fatal("submit rejected with room in queue")
+// TestRunCoversEveryIndexOnce: every index runs exactly once, serially and
+// in parallel, including more workers than indices.
+func TestRunCoversEveryIndexOnce(t *testing.T) {
+	for _, workers := range []int{0, 1, 3, 64} {
+		const n = 50
+		var hits [n]atomic.Int32
+		Run(workers, n, func(i int) { hits[i].Add(1) })
+		for i := range hits {
+			if got := hits[i].Load(); got != 1 {
+				t.Fatalf("workers=%d: index %d ran %d times, want 1", workers, i, got)
+			}
 		}
-	}
-	p.Close()
-	if n.Load() != 16 {
-		t.Errorf("ran %d tasks, want 16", n.Load())
-	}
-}
-
-func TestAdmissionControl(t *testing.T) {
-	p := New(1, 1)
-	defer p.Close()
-	running := make(chan struct{})
-	release := make(chan struct{})
-	if !p.TrySubmit(func() { close(running); <-release }) {
-		t.Fatal("first submit rejected")
-	}
-	<-running
-	// Worker busy; one queue slot free.
-	if !p.TrySubmit(func() {}) {
-		t.Fatal("queue slot should admit one task")
-	}
-	// Queue full: admission control rejects.
-	if p.TrySubmit(func() {}) {
-		t.Error("saturated pool should reject")
-	}
-	close(release)
-}
-
-func TestCloseDrainsQueuedTasks(t *testing.T) {
-	p := New(1, 8)
-	var n atomic.Int64
-	started := make(chan struct{})
-	release := make(chan struct{})
-	p.TrySubmit(func() { close(started); <-release; n.Add(1) })
-	<-started
-	for i := 0; i < 5; i++ {
-		if !p.TrySubmit(func() { n.Add(1) }) {
-			t.Fatal("queue should have room")
-		}
-	}
-	done := make(chan struct{})
-	go func() { p.Close(); close(done) }()
-	select {
-	case <-done:
-		t.Fatal("Close returned while a task was still running")
-	case <-time.After(20 * time.Millisecond):
-	}
-	close(release)
-	<-done
-	if n.Load() != 6 {
-		t.Errorf("drained %d tasks, want 6 (queued work must finish)", n.Load())
-	}
-	if p.TrySubmit(func() {}) {
-		t.Error("closed pool must reject submissions")
-	}
-}
-
-func TestBusyAndQueuedGauges(t *testing.T) {
-	p := New(1, 4)
-	release := make(chan struct{})
-	started := make(chan struct{})
-	p.TrySubmit(func() { close(started); <-release })
-	<-started
-	p.TrySubmit(func() {})
-	if p.Busy() != 1 {
-		t.Errorf("busy = %d, want 1", p.Busy())
-	}
-	if p.Queued() != 1 {
-		t.Errorf("queued = %d, want 1", p.Queued())
-	}
-	close(release)
-	p.Close()
-	if p.Busy() != 0 || p.Queued() != 0 {
-		t.Errorf("after close: busy %d queued %d", p.Busy(), p.Queued())
 	}
 }

@@ -167,11 +167,11 @@ type tierKillPipeline struct {
 }
 
 func (p *tierKillPipeline) Name() string { return p.inner.Name() }
-func (p *tierKillPipeline) Customize(ctx context.Context, task *Task, sample int) (string, error) {
+func (p *tierKillPipeline) CustomizeResult(ctx context.Context, task *Task, sample int) (Customization, error) {
 	if sample >= p.at {
 		p.once.Do(p.kill)
 	}
-	return p.inner.Customize(ctx, task, sample)
+	return p.inner.CustomizeResult(ctx, task, sample)
 }
 
 // TestReplicaDegradesWhenTierDiesMidRun kills the cache server between two

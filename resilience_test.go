@@ -74,7 +74,7 @@ func TestFaultInjectionMatrix(t *testing.T) {
 					defer cancel()
 				}
 
-				script, err := p.Customize(ctx, task, 0)
+				res, err := p.CustomizeResult(ctx, task, 0)
 
 				if mode == resilience.ModeHang {
 					// A hang is bounded by the deadline and surfaces as a
@@ -107,7 +107,7 @@ func TestFaultInjectionMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %s should degrade, got error: %v", comp, mode, err)
 				}
-				rep := p.Degradation()
+				rep := res.Degradation
 				if !rep.Degraded() {
 					t.Fatalf("%s %s: no degradation recorded", comp, mode)
 				}
@@ -116,8 +116,8 @@ func TestFaultInjectionMatrix(t *testing.T) {
 				}
 				sess := synth.NewSession(testLib)
 				sess.AddSource(task.Design.FileName, task.Design.Source)
-				if _, err := sess.Run(script); err != nil {
-					t.Fatalf("%s %s: degraded script failed in tool: %v\n%s", comp, mode, err, script)
+				if _, err := sess.Run(res.Script); err != nil {
+					t.Fatalf("%s %s: degraded script failed in tool: %v\n%s", comp, mode, err, res.Script)
 				}
 			})
 		}
@@ -138,18 +138,18 @@ func TestFaultInjectionRetryRecovers(t *testing.T) {
 	})
 	p.Inject = inj
 
-	script, err := p.Customize(context.Background(), task, 0)
+	res, err := p.CustomizeResult(context.Background(), task, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if script == "" {
+	if res.Script == "" {
 		t.Fatal("empty script")
 	}
 	if got := inj.Calls(resilience.CompMentor); got != 2 {
 		t.Errorf("mentor boundary crossed %d times, want 2 (fail then retry)", got)
 	}
-	if p.Degradation().Degraded() {
-		t.Errorf("retry should recover without degrading: %v", p.Degradation())
+	if res.Degradation.Degraded() {
+		t.Errorf("retry should recover without degrading: %v", res.Degradation)
 	}
 }
 
@@ -161,7 +161,7 @@ func TestCustomizeCancelledContext(t *testing.T) {
 	p := NewChatLS(llm.New(llm.GPT4o, 2), db)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := p.Customize(ctx, task, 0)
+	_, err := p.CustomizeResult(ctx, task, 0)
 	if !errors.Is(err, resilience.ErrCancelled) {
 		t.Fatalf("err = %v, want ErrCancelled", err)
 	}
